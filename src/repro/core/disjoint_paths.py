@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import Literal
 
-import networkx as nx
-
 from repro._bits import set_bits
 from repro.core.hyperbutterfly import HBNode, HyperButterfly
 from repro.errors import RoutingError
@@ -67,24 +65,6 @@ def construction_case(u: HBNode, v: HBNode) -> int:
     if b_differs and not h_differs:
         return 2
     return 3
-
-
-def _fly_graph(hb: HyperButterfly) -> nx.Graph:
-    """Cached explicit ``B_n`` (factor) graph."""
-    graph = getattr(hb, "_fly_nx_cache", None)
-    if graph is None:
-        graph = hb.butterfly.to_networkx()
-        hb._fly_nx_cache = graph
-    return graph
-
-
-def _cube_graph(hb: HyperButterfly) -> nx.Graph:
-    """Cached explicit ``H_m`` (factor) graph."""
-    graph = getattr(hb, "_cube_nx_cache", None)
-    if graph is None:
-        graph = hb.hypercube.to_networkx()
-        hb._cube_nx_cache = graph
-    return graph
 
 
 def _lift_cube(path_words: list[int], b: tuple[int, int]) -> list[HBNode]:
@@ -121,7 +101,7 @@ def _case1(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
 def _case2(hb: HyperButterfly, u: HBNode, v: HBNode) -> list[list[HBNode]]:
     h, b = u
     _, b2 = v
-    fly_paths = vertex_disjoint_paths(_fly_graph(hb), b, b2, k=4)
+    fly_paths = vertex_disjoint_paths(hb.butterfly, b, b2, k=4)
     paths = [_lift_fly(h, p) for p in fly_paths]
     fly_route = butterfly_route_walk(hb.n, b, b2)
     for i in range(hb.m):
@@ -234,7 +214,7 @@ class _Case3Builder:
         if self.b_fresh is not None:
             blocked.add(self.b_fresh)  # (h', b''') is the repaired path's entry
         fly_tails = node_to_set_disjoint_paths(
-            _fly_graph(hb), tail_sources, self.b2, blocked=blocked
+            hb.butterfly, tail_sources, self.b2, blocked=blocked
         )
         tail_by_source = dict(zip(tail_sources, fly_tails, strict=True))
 
@@ -289,7 +269,7 @@ class _Case3Builder:
         if self.j_star is not None:
             blocked.add(self.h)  # (h, b') is owned by the repaired fly-first path
         cube_tails = node_to_set_disjoint_paths(
-            _cube_graph(hb), tail_sources, self.h2, blocked=blocked
+            hb.hypercube, tail_sources, self.h2, blocked=blocked
         )
         tail_by_source = dict(zip(tail_sources, cube_tails, strict=True))
 
@@ -377,7 +357,7 @@ def disjoint_paths_with_info(
                 raise
             info["fallback_reason"] = str(exc)
 
-    paths = vertex_disjoint_paths(hb.to_networkx(), u, v, k=hb.m + 4)
+    paths = vertex_disjoint_paths(hb, u, v, k=hb.m + 4)
     verify_disjoint_paths(hb, u, v, paths)
     info["method"] = "flow"
     return paths, info

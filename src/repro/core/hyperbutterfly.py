@@ -128,6 +128,15 @@ class HyperButterfly(Topology):
         self.validate_node(v)
         return self.gens.neighbors(v)
 
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        """Whether ``{u, v}`` is an edge: an O(1) quotient-in-generator-set
+        probe instead of the inherited neighbour scan (same answers: an
+        invalid ``u`` raises, an invalid ``v`` is never adjacent)."""
+        self.validate_node(u)
+        if not self.has_node(v):
+            return False
+        return self.cayley.has_edge(u, v)
+
     # Definition 4: edge/neighbor classification ------------------------------
 
     def hypercube_neighbors(self, v: HBNode) -> list[HBNode]:

@@ -1,7 +1,8 @@
 """Exact connectivity computations backing Corollary 1's claims.
 
 ``vertex_connectivity`` computes the exact vertex connectivity of any
-(small enough to materialise) topology via networkx's flow-based algorithm;
+(small enough to sweep) topology with Even's flow-based algorithm over the
+native disjoint-path kernel of :mod:`repro.routing.flows`;
 ``connectivity_certificate`` produces the two-sided certificate used by the
 Figure 1/2 harness — degree upper bound plus a Menger lower bound witnessed
 by explicit disjoint-path families over sampled pairs — so the tables can
@@ -13,9 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable, Iterable
-
-import networkx as nx
 
 from repro.errors import InvalidParameterError
 from repro.faults.model import FaultSet
@@ -31,10 +31,30 @@ __all__ = [
 
 
 def vertex_connectivity(topology: Topology) -> int:
-    """Exact vertex connectivity (materialises the graph; use on small
-    instances — the Figure 2 harness switches to certificates beyond that)."""
-    graph = topology.to_networkx()
-    return nx.node_connectivity(graph)
+    """Exact vertex connectivity (use on small instances — the Figure 2
+    harness switches to certificates beyond that).
+
+    Even's algorithm, as in :func:`networkx.node_connectivity`: ``κ`` is at
+    most the minimum degree ``K`` of some vertex ``v``; any minimum
+    separator either misses ``v`` — then it separates ``v`` from a
+    non-neighbour — or contains it, and then it separates two non-adjacent
+    neighbours of ``v``.  Each local ``κ`` is a disjoint-path family size,
+    cut off at the best bound so far.  A disconnected graph has ``κ = 0``.
+    """
+    if not connected_under_faults(topology, ()):
+        return 0
+    nodes = list(topology.nodes())
+    v = min(nodes, key=topology.degree)
+    neighbors = topology.neighbors(v)
+    k = len(neighbors)
+    adjacent = set(neighbors)
+    for w in nodes:
+        if w != v and w not in adjacent:
+            k = min(k, len(vertex_disjoint_paths(topology, v, w, cutoff=k)))
+    for x, y in combinations(neighbors, 2):
+        if not topology.has_edge(x, y):
+            k = min(k, len(vertex_disjoint_paths(topology, x, y, cutoff=k)))
+    return k
 
 
 def is_maximally_fault_tolerant(topology: Topology) -> bool:
@@ -71,13 +91,12 @@ def connectivity_certificate(
     if pairs < 1:
         raise InvalidParameterError("pairs must be >= 1")
     rng = rng or random.Random(0)
-    graph = topology.to_networkx()
-    min_degree = min(d for _, d in graph.degree())
-    nodes = list(graph.nodes())
+    nodes = list(topology.nodes())
+    min_degree = min(topology.degree(v) for v in nodes)
     lower = min_degree
     for _ in range(pairs):
         u, v = rng.sample(nodes, 2)
-        family = vertex_disjoint_paths(graph, u, v)
+        family = vertex_disjoint_paths(topology, u, v)
         lower = min(lower, len(family))
     return ConnectivityCertificate(
         upper=min_degree, lower_witnessed=lower, pairs_sampled=pairs

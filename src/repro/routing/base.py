@@ -9,7 +9,7 @@ disjoint*; both predicates are provided.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Sequence, TypeVar
 
 from repro.errors import RoutingError
 from repro.topologies.base import Topology
@@ -24,15 +24,18 @@ __all__ = [
 ]
 
 
-def loop_erase(path: Sequence[Hashable]) -> list[Hashable]:
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def loop_erase(path: Sequence[_Node]) -> list[_Node]:
     """Remove cycles from a walk, keeping endpoints; the result is simple.
 
     Whenever a vertex repeats, the intervening loop is cut.  Used to turn
     covering walks and flow decompositions into simple paths; cutting loops
     never lengthens a path, so a shortest walk stays shortest.
     """
-    out: list[Hashable] = []
-    index: dict[Hashable, int] = {}
+    out: list[_Node] = []
+    index: dict[_Node, int] = {}
     for v in path:
         if v in index:
             cut = index[v]

@@ -35,10 +35,12 @@ counterpart of the ``O(n·2^n)``-memory oracle (DESIGN.md Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable
 
 from repro._bits import set_bits
 from repro.errors import InvalidParameterError, RoutingError
 from repro.routing.base import loop_erase
+from repro.routing.flows import vertex_disjoint_paths
 from repro.topologies.butterfly_cayley import CayleyButterfly
 
 __all__ = [
@@ -179,24 +181,15 @@ def butterfly_route(
 
 def butterfly_disjoint_paths(
     butterfly: CayleyButterfly, u: tuple[int, int], v: tuple[int, int]
-) -> list[list[tuple[int, int]]]:
+) -> list[list[Hashable]]:
     """4 internally disjoint ``u → v`` paths in ``B_n`` (Menger/max-flow).
 
     The paper invokes the 4-path family of [4] as a black box inside
-    Theorem 5; we extract an equivalent family with a max-flow computation
-    on the explicit butterfly, which is exact (vertex connectivity 4 per
-    Remark 1 guarantees the family exists for every ``u != v``).
+    Theorem 5; we extract an equivalent family with the max-flow kernel of
+    :mod:`repro.routing.flows` — the same one Theorem 5's construction
+    uses — which is exact (vertex connectivity 4 per Remark 1 guarantees
+    the family exists for every ``u != v``).
     """
-    import networkx as nx
-
     butterfly.validate_node(u)
     butterfly.validate_node(v)
-    if u == v:
-        raise RoutingError("disjoint paths require distinct endpoints")
-    graph = butterfly.to_networkx()
-    paths = list(nx.node_disjoint_paths(graph, u, v))
-    if len(paths) < 4:
-        raise RoutingError(
-            f"expected 4 disjoint paths in {butterfly.name}, found {len(paths)}"
-        )
-    return paths[:4]
+    return vertex_disjoint_paths(butterfly, u, v, k=4)

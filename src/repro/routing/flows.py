@@ -2,100 +2,279 @@
 
 Used as the exact substrate for the "4 disjoint paths in ``B_n`` [4]" and
 node-to-set families that Theorem 5's construction consumes as black boxes,
-and as the last-resort fallback for the full ``m + 4`` family.
+as the last-resort fallback for the full ``m + 4`` family, and by the exact
+connectivity computations of :mod:`repro.faults.connectivity`.
 
 The construction is the textbook node-splitting reduction: every vertex
-``v`` becomes an arc ``v_in → v_out`` of capacity 1 (endpoints get capacity
-``k``), every undirected edge ``{u, v}`` becomes ``u_out → v_in`` and
-``v_out → u_in``.  Integral max-flow then decomposes into vertex-disjoint
-paths.
+``v`` becomes an arc ``v_in → v_out`` of capacity 1, every undirected edge
+``{u, v}`` becomes ``u_out → v_in`` and ``v_out → u_in``.  Integral
+max-flow then decomposes into vertex-disjoint paths.  The endpoints' own
+transit halves (``source_in``, ``target_out``) are removed, so every
+remaining arc has capacity 1 and one unit-capacity Edmonds–Karp kernel
+serves both entry points.
+
+**Index layout.**  The split graph is never materialised as objects: the
+vertex of rank ``r`` (the fastgraph codec rank, i.e. its position in
+``topology.nodes()``) has split nodes ``IN = 2r`` and ``OUT = 2r + 1``,
+and arcs come in forward/reverse pairs so the reverse of arc ``a`` is
+``a ^ 1``.  The layout is built once per topology from the CSR rows (or
+from ``nodes()``/``neighbors()`` without a codec — the same order) and
+cached on it; a call copies the residual capacities and masks the split
+nodes it removes (``source_in``, ``target_out``, blocked vertices) by
+zeroing their arcs.
+
+**Residual order.**  Each split node lists its residual arcs in exactly
+the order a :func:`networkx.algorithms.flow.build_residual_network` over
+the split digraph of ``topology.to_networkx()`` would:
+
+* ``OUT_v``: the reverse arc to ``IN_v``, then the arcs to ``IN_x`` for
+  lower-rank neighbours ``x`` in ascending rank, then for higher-rank
+  neighbours in CSR-row (generator) order;
+* ``IN_v``: the reverse arcs to ``OUT_x`` for lower-rank ``x`` ascending,
+  then ``OUT_v``, then higher-rank ``x`` ascending;
+* a node-to-set super source's reverse arcs go last on each ``OUT_s``.
+
+Together with the same bidirectional BFS (the smaller frontier expands,
+ties to the source side) and the same greedy flow decomposition, this
+makes every family identical to the one the networkx implementation
+returned; ``tests/routing/test_flow_oracle.py`` pins that on a property
+grid against the networkx reference.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from repro.errors import RoutingError
 from repro.routing.base import loop_erase
+
+if TYPE_CHECKING:
+    from repro.topologies.base import Topology
 
 __all__ = [
     "vertex_disjoint_paths",
     "node_to_set_disjoint_paths",
 ]
 
-_IN = 0
-_OUT = 1
+_ATTR = "_flow_layout"
 
 
-def _split_digraph(
-    graph: nx.Graph,
-    *,
-    unlimited: set,
-    blocked: set,
-) -> nx.DiGraph:
-    dg = nx.DiGraph()
-    for v in graph.nodes():
-        if v in blocked:
-            continue
-        cap = graph.number_of_nodes() if v in unlimited else 1
-        dg.add_edge((v, _IN), (v, _OUT), capacity=cap)
-    for a, b in graph.edges():
-        if a in blocked or b in blocked:
-            continue
-        dg.add_edge((a, _OUT), (b, _IN), capacity=1)
-        dg.add_edge((b, _OUT), (a, _IN), capacity=1)
-    return dg
+class _SplitLayout:
+    """Node-split residual arcs of one topology, in networkx order.
 
-
-_SUPER = "__super_source__"
-
-
-def _decompose_paths(
-    flow: dict, source_out: tuple, target_in: tuple
-) -> list[list[Hashable]]:
-    """Walk unit flow from ``source_out`` greedily, yielding node paths.
-
-    Each walk collects the underlying graph node of every split vertex it
-    passes (deduplicating the ``v_in → v_out`` pair) and is loop-erased at
-    the end: preflow-push max-flow may leave flow cycles, which the walk
-    consumes harmlessly.
+    ``adj[x]`` holds the arc ids leaving split node ``x`` in residual
+    order, ``fwd[x]`` its forward (capacity-1) arcs in flow-dict order,
+    ``head[a]`` the split node arc ``a`` enters.  Forward arcs are even,
+    reverses odd; arc ``2v`` is the internal arc ``IN_v → OUT_v``.
     """
-    residual = {
-        u: {v: f for v, f in nbrs.items() if f > 0} for u, nbrs in flow.items()
-    }
 
-    def take_step(cur: tuple) -> tuple | None:
-        nbrs = residual.get(cur, {})
-        nxt = next((v for v, f in nbrs.items() if f > 0), None)
-        if nxt is not None:
-            nbrs[nxt] -= 1
-        return nxt
+    __slots__ = ("adj", "fwd", "head", "num_arcs", "rank", "unrank")
 
-    paths = []
+    def __init__(
+        self,
+        rows: list[list[int]],
+        rank: Callable[[Hashable], int],
+        unrank: Callable[[int], Hashable],
+    ) -> None:
+        n = len(rows)
+        head = [0] * (2 * n)
+        head[0::2] = range(1, 2 * n, 2)  # internal arc 2v enters OUT_v
+        head[1::2] = range(0, 2 * n, 2)  # its reverse enters IN_v
+        in_lo: list[list[int]] = [[] for _ in range(n)]
+        in_hi: list[list[int]] = [[] for _ in range(n)]
+        out_lo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        out_hi: list[list[int]] = [[] for _ in range(n)]
+        a = 2 * n
+        for u, row in enumerate(rows):
+            out_u = 2 * u + 1
+            for w in row:
+                # forward a: OUT_u → IN_w; reverse a + 1: IN_w → OUT_u
+                head.append(2 * w)
+                head.append(out_u)
+                if w < u:
+                    out_lo[u].append((w, a))
+                    in_hi[w].append(a + 1)
+                else:
+                    out_hi[u].append(a)
+                    in_lo[w].append(a + 1)
+                a += 2
+        adj: list[list[int]] = []
+        fwd: list[list[int]] = []
+        for v in range(n):
+            out_arcs = [arc for _, arc in sorted(out_lo[v])] + out_hi[v]
+            adj.append(in_lo[v] + [2 * v] + in_hi[v])
+            adj.append([2 * v + 1] + out_arcs)
+            fwd.append([2 * v])
+            fwd.append(out_arcs)
+        self.adj = adj
+        self.fwd = fwd
+        self.head = head
+        self.num_arcs = a
+        self.rank = rank
+        self.unrank = unrank
+
+
+def _layout(topology: Topology) -> _SplitLayout:
+    """The memoized split layout of ``topology``."""
+    cached = topology.__dict__.get(_ATTR)
+    if cached is not None:
+        return cached
+    # Deferred import: routing sits below fastgraph in the layer DAG
+    # (reprolint HB401), exactly as in topologies/base.py.
+    from repro.fastgraph.backend import get_fastgraph
+
+    fast = get_fastgraph(topology)
+    if fast is not None:
+        csr = fast.csr
+        flat = csr.indices.tolist()
+        ptr = csr.indptr.tolist()
+        rows = [flat[ptr[i] : ptr[i + 1]] for i in range(csr.num_nodes)]
+        layout = _SplitLayout(rows, fast.rank, fast.unrank)
+    else:
+        labels = list(topology.nodes())
+        index = {v: i for i, v in enumerate(labels)}
+        rows = [[index[w] for w in topology.neighbors(v)] for v in labels]
+        layout = _SplitLayout(rows, index.__getitem__, labels.__getitem__)
+    try:
+        setattr(topology, _ATTR, layout)
+    except (AttributeError, TypeError):
+        pass  # slots/frozen instances: rebuild next call
+    return layout
+
+
+def _max_flow(
+    adj: list[list[int]],
+    head: list[int],
+    res: list[int],
+    s: int,
+    t: int,
+    cutoff: int,
+) -> int:
+    """Unit-capacity Edmonds–Karp from ``s`` to ``t`` on residuals ``res``
+    (updated in place); stops after ``cutoff`` augmentations."""
+    value = 0
+    while value < cutoff:
+        # bidirectional BFS; pred/succ map a split node to the arc that
+        # reached it from the source side / leads from it toward t
+        pred = {s: -1}
+        succ = {t: -1}
+        q_s = [s]
+        q_t = [t]
+        meet = -1
+        while meet < 0:
+            q = []
+            if len(q_s) <= len(q_t):
+                for u in q_s:
+                    for a in adj[u]:
+                        if res[a]:
+                            v = head[a]
+                            if v not in pred:
+                                pred[v] = a
+                                if v in succ:
+                                    meet = v
+                                    break
+                                q.append(v)
+                    if meet >= 0:
+                        break
+                q_s = q
+            else:
+                for u in q_t:
+                    for a in adj[u]:
+                        b = a ^ 1
+                        if res[b]:
+                            v = head[a]
+                            if v not in succ:
+                                succ[v] = b
+                                if v in pred:
+                                    meet = v
+                                    break
+                                q.append(v)
+                    if meet >= 0:
+                        break
+                q_t = q
+            if meet < 0 and not q:
+                return value
+        a = pred[meet]
+        while a >= 0:
+            res[a] -= 1
+            res[a ^ 1] += 1
+            a = pred[head[a ^ 1]]
+        a = succ[meet]
+        while a >= 0:
+            res[a] -= 1
+            res[a ^ 1] += 1
+            a = succ[head[a]]
+        value += 1
+    return value
+
+
+def _decompose(
+    fwd: list[list[int]],
+    head: list[int],
+    res: list[int],
+    s: int,
+    t: int,
+) -> list[list[int]]:
+    """Walk unit flow from ``s`` greedily, yielding vertex-rank paths.
+
+    The flow on forward arc ``a`` is the residual of its reverse ``a ^ 1``;
+    each walk takes the first forward arc still carrying flow, collects
+    the vertex of every split node it passes (deduplicating the
+    ``IN → OUT`` pair) and is loop-erased at the end: the flow may contain
+    cycles, which a walk consumes harmlessly.
+    """
+
+    def take_step(cur: int) -> int:
+        for a in fwd[cur]:
+            if res[a ^ 1] > 0:
+                res[a ^ 1] -= 1
+                return head[a]
+        return -1
+
+    paths: list[list[int]] = []
     while True:
-        cur = take_step(source_out)
-        if cur is None:
+        cur = take_step(s)
+        if cur < 0:
             break
-        node_path: list[Hashable] = []
-        if source_out[0] != _SUPER:
-            node_path.append(source_out[0])
+        path = [s >> 1]
         while True:
-            node = cur[0]
-            if node != _SUPER and (not node_path or node_path[-1] != node):
-                node_path.append(node)
-            if cur == target_in:
+            node = cur >> 1
+            if path[-1] != node:
+                path.append(node)
+            if cur == t:
                 break
             cur = take_step(cur)
-            if cur is None:
+            if cur < 0:
                 raise RoutingError("flow decomposition failed (internal bug)")
-        paths.append(loop_erase(node_path))
+        paths.append(loop_erase(path))
     return paths
 
 
+def _residuals(
+    topology: Topology,
+    layout: _SplitLayout,
+    dead: list[int],
+    blocked: Iterable[Hashable],
+    extra_arcs: int = 0,
+) -> list[int]:
+    """Fresh unit residuals with the ``dead`` split nodes and both halves
+    of every ``blocked`` vertex masked (all their arcs zeroed)."""
+    masked = list(dead)
+    for v in blocked:
+        if topology.has_node(v):
+            r = layout.rank(v)
+            masked += (2 * r, 2 * r + 1)
+    res = [1, 0] * ((layout.num_arcs >> 1) + extra_arcs)
+    adj = layout.adj
+    for x in masked:
+        for a in adj[x]:
+            res[a] = 0
+            res[a ^ 1] = 0
+    return res
+
+
 def vertex_disjoint_paths(
-    graph: nx.Graph,
+    topology: Topology,
     source: Hashable,
     target: Hashable,
     *,
@@ -118,21 +297,23 @@ def vertex_disjoint_paths(
         raise RoutingError("endpoints may not be blocked")
     if source == target:
         raise RoutingError("disjoint paths require distinct endpoints")
-    dg = _split_digraph(graph, unlimited={source, target}, blocked=blocked)
-    s, t = (source, _OUT), (target, _IN)
-    if s not in dg or t not in dg:
+    if not (topology.has_node(source) and topology.has_node(target)):
         raise RoutingError("endpoint missing from graph")
-    # no path may pass *through* an endpoint: sever their transit halves
-    dg.remove_node((source, _IN))
-    dg.remove_node((target, _OUT))
+    layout = _layout(topology)
+    src, dst = layout.rank(source), layout.rank(target)
     if cutoff is None:
         cutoff = k if k is not None else min(
-            graph.degree(source), graph.degree(target)
+            len(layout.fwd[2 * src + 1]), len(layout.fwd[2 * dst + 1])
         )
-    value, flow = nx.maximum_flow(
-        dg, s, t, flow_func=nx.algorithms.flow.edmonds_karp, cutoff=cutoff
-    )
-    paths = _decompose_paths(flow, s, t)
+    # no path may pass *through* an endpoint: mask their transit halves
+    res = _residuals(topology, layout, [2 * src, 2 * dst + 1], blocked)
+    s, t = 2 * src + 1, 2 * dst
+    _max_flow(layout.adj, layout.head, res, s, t, cutoff)
+    unrank = layout.unrank
+    paths = [
+        [unrank(r) for r in path]
+        for path in _decompose(layout.fwd, layout.head, res, s, t)
+    ]
     if k is not None:
         if len(paths) < k:
             raise RoutingError(
@@ -143,7 +324,7 @@ def vertex_disjoint_paths(
 
 
 def node_to_set_disjoint_paths(
-    graph: nx.Graph,
+    topology: Topology,
     sources: Sequence[Hashable],
     target: Hashable,
     *,
@@ -167,31 +348,36 @@ def node_to_set_disjoint_paths(
         s: [target] for s in sources if s == target
     }
     if real_sources:
-        dg = _split_digraph(graph, unlimited={target}, blocked=blocked)
-        super_source = (_SUPER, _OUT)
-        for s in real_sources:
-            # feed each source at its _OUT side and sever its _IN side so
-            # no other path can pass through a source vertex
-            dg.add_edge(super_source, (s, _OUT), capacity=1)
-            dg.remove_node((s, _IN))
-        t = (target, _IN)
-        if (target, _OUT) in dg:
-            dg.remove_node((target, _OUT))
-        value, flow = nx.maximum_flow(
-            dg,
-            super_source,
-            t,
-            flow_func=nx.algorithms.flow.edmonds_karp,
-            cutoff=len(real_sources),
-        )
-        if value < len(real_sources):
+        has_node = topology.has_node
+        if not (has_node(target) and all(has_node(s) for s in real_sources)):
+            raise RoutingError("endpoint missing from graph")
+        layout = _layout(topology)
+        rank = layout.rank
+        ranks = [rank(s) for s in real_sources]
+        # a super source feeds each source at its OUT side; its arcs follow
+        # the layout's, and their reverses go last on each source's OUT list
+        super_source = len(layout.adj)
+        first = layout.num_arcs
+        super_arcs = list(range(first, first + 2 * len(ranks), 2))
+        adj = list(layout.adj)
+        head = layout.head.copy()
+        for r, a in zip(ranks, super_arcs, strict=True):
+            adj[2 * r + 1] = adj[2 * r + 1] + [a + 1]
+            head += (2 * r + 1, super_source)
+        adj.append(super_arcs)
+        fwd = layout.fwd + [super_arcs]
+        # sever each source's IN side so no other path can pass through a
+        # source vertex, and the target's OUT side
+        dead = [2 * rank(target) + 1] + [2 * r for r in ranks]
+        res = _residuals(topology, layout, dead, blocked, len(ranks))
+        t = 2 * rank(target)
+        value = _max_flow(adj, head, res, super_source, t, len(ranks))
+        if value < len(ranks):
             raise RoutingError(
-                f"only {value} of {len(real_sources)} node-to-set paths exist"
+                f"only {value} of {len(ranks)} node-to-set paths exist"
             )
-        raw = _decompose_paths(flow, super_source, t)
-        for path in raw:
-            result_by_source[path[0]] = path
-    missing = [s for s in sources if s not in result_by_source]
-    if missing:
-        raise RoutingError(f"flow produced no path for sources {missing!r}")
+        unrank = layout.unrank
+        for path in _decompose(fwd, head, res, super_source, t):
+            # drop the super source's own (vertex-less) rank
+            result_by_source[unrank(path[1])] = [unrank(r) for r in path[1:]]
     return [result_by_source[s] for s in sources]

@@ -5,7 +5,7 @@ hashable labels and adjacency is computed from the label, never stored.
 This keeps construction ``O(1)`` and lets algorithms work on instances far
 larger than what an explicit adjacency structure would allow, while
 ``to_networkx()`` materialises an explicit graph when exact global analysis
-(max-flow connectivity, iFUB diameter, isomorphism checks) is needed.
+(iFUB diameter, bisection, isomorphism checks) is needed.
 """
 
 from __future__ import annotations

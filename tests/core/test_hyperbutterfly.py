@@ -85,6 +85,29 @@ class TestDefinition4Neighbors:
         with pytest.raises(InvalidLabelError):
             hb23.edge_kind((0, (0, 0)), (3, (0, 0)))
 
+    def test_has_edge_matches_neighbour_scan(self, hb23):
+        """The O(1) quotient probe answers exactly like the inherited scan
+        over every node pair, invalid labels included (an invalid ``u``
+        raises, an invalid ``v`` is never adjacent)."""
+        from repro.topologies.base import Topology
+
+        invalid = [(4, (0, 0)), (0, (3, 0)), (0, (0, 8)), (0, 0), "junk", None]
+        labels = list(hb23.nodes()) + invalid
+
+        def probe(has_edge, u, v):
+            try:
+                return has_edge(hb23, u, v)
+            except InvalidLabelError:
+                return "invalid"
+
+        edges = 0
+        for u in labels:
+            for v in labels:
+                fast = probe(HyperButterfly.has_edge, u, v)
+                assert fast == probe(Topology.has_edge, u, v), (u, v)
+                edges += fast is True
+        assert edges == 2 * hb23.num_edges
+
 
 class TestRemark5Copies:
     def test_hypercube_copy_is_hypercube(self, hb23):

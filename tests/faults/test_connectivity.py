@@ -47,6 +47,50 @@ class TestExactConnectivity:
         assert m + 2 == lo < hi  # limited by its minimum-degree nodes
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HyperButterfly(1, 3),
+        lambda: HyperButterfly(2, 3),
+        lambda: HyperButterfly(3, 3),
+        lambda: HyperDeBruijn(2, 3),
+        lambda: Hypercube(4),
+        lambda: CayleyButterfly(3),
+        lambda: CayleyButterfly(4),
+    ],
+    ids=["HB(1,3)", "HB(2,3)", "HB(3,3)", "HD(2,3)", "H_4", "B_3", "B_4"],
+)
+def test_vertex_connectivity_matches_networkx(make):
+    """Even's algorithm on the native kernel equals nx.node_connectivity."""
+    import networkx as nx
+
+    topology = make()
+    assert vertex_connectivity(topology) == nx.node_connectivity(
+        topology.to_networkx()
+    )
+
+
+def test_vertex_connectivity_of_disconnected_graph_is_zero():
+    from repro.topologies.base import Topology
+
+    class TwoEdges(Topology):
+        """The disjoint edges 0-1 and 2-3: codec-less and disconnected."""
+
+        name = "2K_2"
+        num_nodes = 4
+
+        def nodes(self):
+            return iter(range(4))
+
+        def has_node(self, v):
+            return v in range(4)
+
+        def neighbors(self, v):
+            return [v ^ 1]
+
+    assert vertex_connectivity(TwoEdges()) == 0
+
+
 class TestCertificates:
     def test_certificate_tight_on_hb(self, hb23):
         cert = connectivity_certificate(hb23, pairs=10)
