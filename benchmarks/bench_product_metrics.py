@@ -40,15 +40,6 @@ def _clock(fn: Callable[[], object]) -> tuple[object, float]:
     return result, time.perf_counter() - start
 
 
-def _metrics_from_counts(counts: dict[int, int], nodes: int) -> dict:
-    total = sum(counts.values())
-    distinct = total - nodes
-    return {
-        "diameter": max(counts),
-        "average_distance": sum(d * c for d, c in counts.items()) / distinct,
-    }
-
-
 def bench_speedup_instance(m: int, n: int, *, sweep: bool = True) -> dict:
     """Time decomposition vs. the all-sources sweep on a fresh ``HB(m,n)``.
 
@@ -56,26 +47,26 @@ def bench_speedup_instance(m: int, n: int, *, sweep: bool = True) -> dict:
     costs (factor BFS for decomposition, CSR build for the sweep) and no
     memoized histogram leaks between engines.
     """
-    from repro.analysis.distance_stats import pair_distance_counts
+    from repro.analysis.distance_stats import distance_profile
     from repro.core.hyperbutterfly import HyperButterfly
 
     hb = HyperButterfly(m, n)
     decomposed, decomposition_s = _clock(
-        lambda: pair_distance_counts(HyperButterfly(m, n))
+        lambda: distance_profile(HyperButterfly(m, n))
     )
+    assert decomposed.engine == "decomposition"
     entry: dict = {
         "instance": hb.name,
         "nodes": hb.num_nodes,
         "decomposition_s": round(decomposition_s, 6),
-        **_metrics_from_counts(decomposed, hb.num_nodes),
+        "diameter": decomposed.diameter,
+        "average_distance": decomposed.average_distance,
     }
     if sweep:
         swept, sweep_s = _clock(
-            lambda: pair_distance_counts(
-                HyperButterfly(m, n), force_generic=True
-            )
+            lambda: distance_profile(HyperButterfly(m, n), force_generic=True)
         )
-        assert swept == decomposed, f"{hb.name}: engines disagree"
+        assert swept.counts == decomposed.counts, f"{hb.name}: engines disagree"
         entry["bfs_sweep_s"] = round(sweep_s, 6)
         entry["speedup"] = round(sweep_s / decomposition_s, 1)
         entry["identical_to_sweep"] = True
@@ -84,13 +75,14 @@ def bench_speedup_instance(m: int, n: int, *, sweep: bool = True) -> dict:
 
 def bench_diameter_sweep(grid: list[tuple[int, int]]) -> list[dict]:
     """Exact decomposition diameters vs. the ceil/floor formula readings."""
-    from repro.analysis.decompose import product_diameter
+    from repro.analysis.distance_stats import distance_profile
     from repro.core.hyperbutterfly import HyperButterfly
 
     rows = []
     for m, n in grid:
-        exact = product_diameter(HyperButterfly(m, n))
-        assert exact is not None
+        profile = distance_profile(HyperButterfly(m, n))
+        assert profile.engine == "decomposition"
+        exact = profile.diameter
         ceil_reading = m + math.ceil(3 * n / 2)
         floor_reading = m + (3 * n) // 2
         if ceil_reading == floor_reading:

@@ -1,11 +1,13 @@
 """Graph-property analytics and the paper's comparison tables.
 
-* :mod:`repro.analysis.decompose` — the product-decomposition distance
-  engine: exact diameter / average distance / full distance histogram of
-  any Cartesian-product family by factor-histogram convolution.
-* :mod:`repro.analysis.metrics` — exact diameters (product decomposition,
-  vertex-transitive single-BFS, pooled all-sources sweep, iFUB fallback),
-  average distance, regularity.
+* :mod:`repro.analysis.decompose` — the distance pipeline: one dispatch
+  (:func:`dispatch_pair_counts`) between product decomposition by
+  factor-histogram convolution, vertex-transitive single BFS and the
+  pooled all-sources sweep, yielding exact pair-distance histograms.
+* :mod:`repro.analysis.distance_stats` — :class:`DistanceProfile`, the
+  diameter / means / percentiles read off those histograms.
+* :mod:`repro.analysis.metrics` — exact diameter and average distance
+  (sampled past a node budget for non-products), regularity.
 * :mod:`repro.analysis.formulas` — closed-form property formulas for the
   four families of Figure 1.
 * :mod:`repro.analysis.compare` — the Figure 1 and Figure 2 table builders
@@ -15,9 +17,8 @@
 from repro.analysis.decompose import (
     convolve_pair_histograms,
     factor_pair_histogram,
+    dispatch_pair_counts,
     leaf_factors,
-    product_average_distance,
-    product_diameter,
     product_pair_histogram,
 )
 from repro.analysis.metrics import (
@@ -55,9 +56,8 @@ from repro.analysis.bisection import (
 __all__ = [
     "convolve_pair_histograms",
     "factor_pair_histogram",
+    "dispatch_pair_counts",
     "leaf_factors",
-    "product_average_distance",
-    "product_diameter",
     "product_pair_histogram",
     "exact_diameter",
     "average_distance",

@@ -152,8 +152,8 @@ def figure2_table(
     """The Figure 2 concrete comparison: ``HB(3,8)`` vs ``HD(3,11)`` vs
     ``HD(6,8)`` (all ≈16384 processors).
 
-    Numeric structure cells are exact.  Diameters are exact (single BFS for
-    the vertex-transitive ``HB``; iFUB for ``HD``) unless
+    Numeric structure cells are exact.  Diameters are exact (product
+    decomposition for both ``HB`` and ``HD``) unless
     ``exact_diameters=False`` (formula values, for quick runs).
     Fault tolerance is reported as the paper's formula value together with
     a sampled Menger certificate (``connectivity_pairs`` disjoint-path

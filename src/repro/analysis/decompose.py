@@ -1,26 +1,37 @@
-"""Product-decomposition distance engine (paper Remarks 6 & 8).
+"""The distance pipeline: exact pair-distance histograms, three engines.
 
-Distances in a Cartesian product are the sums of factor distances, so the
-full node-pair distance distribution of ``G × H`` is the **convolution**
-of the factor distributions.  This module exploits that to make exact
-global distance metrics — diameter, average distance, the whole
-histogram — essentially free at any scale for every product family in
-the library (``HB(m,n) = H_m × B_n``, ``HD(m,n) = H_m × D_n``, generic
-:class:`~repro.topologies.product.CartesianProduct` nests):
+Every exact distance number in the library — diameter, average distance,
+eccentricity, the whole distribution — is a statistic of a distance
+histogram, computed in three levels:
 
-* each **factor** is profiled once — a closed-form binomial for the
-  hypercube (no BFS at all), one vectorized BFS for any vertex-transitive
-  factor, a small all-pairs sweep for irregular factors like ``D_n``;
-* the factor histograms are convolved into the product histogram without
-  ever materializing the ``n·2^{m+n}``-node product.
+1. **single source** —
+   :meth:`~repro.topologies.base.Topology.source_histogram`, ``{distance:
+   count}`` over the (fault-masked) survivors reached from one node; its
+   ``max`` is an eccentricity, its ``sum`` the reached count;
+2. **all pairs** — :func:`dispatch_pair_counts`, the one function that
+   picks an engine for the ``{distance: ordered-pair count}`` histogram:
 
-``HB(8, 10)`` (2.6M nodes) resolves in the time it takes to BFS the
-2048-node ``B_10`` factor once.  Dispatch is structural — any topology
-exposing a ``factors()`` accessor participates — never by class name.
+   * ``"decomposition"`` — distances in a Cartesian product are sums of
+     factor distances (paper Remarks 6 & 8), so the product histogram is
+     the **convolution** of the factor histograms; each leaf factor is
+     profiled once (a closed-form binomial for the hypercube, the
+     pipeline itself for anything else) and the ``n·2^{m+n}``-node
+     product is never materialized — ``HB(8, 10)`` (2.6M nodes) costs
+     one BFS of the 2048-node ``B_10`` factor;
+   * ``"transitive-bfs"`` — a vertex-transitive graph's histogram is
+     ``num_nodes`` × one single-source histogram;
+   * ``"bfs-sweep"`` — everything else: the all-sources
+     :func:`~repro.fastgraph.parallel.parallel_sweep` (CSR or implicit,
+     ``jobs`` processes), or a label-BFS sweep when no fast backend (or
+     no scipy for the CSR product) is available;
+3. **derived** — diameters, averages and profiles read the counts
+   (:mod:`repro.analysis.distance_stats`, :mod:`repro.analysis.metrics`).
 
-All arithmetic stays in exact integers until the caller divides, so the
-derived metrics are bit-identical to brute-force BFS aggregation (pinned
-by ``tests/analysis/test_decompose.py`` over a grid of small instances).
+Product dispatch is structural — any topology exposing a ``factors()``
+accessor participates — never by class name.  All arithmetic stays in
+exact integers until the caller divides, so every engine is bit-identical
+to brute-force BFS aggregation (pinned by
+``tests/analysis/test_decompose.py`` over a grid of small instances).
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from math import comb
 from typing import Callable
 
 from repro.errors import DisconnectedError
-from repro.fastgraph.backend import get_fastgraph
+from repro.fastgraph.backend import resolve_backend
 from repro.topologies.base import Topology
 from repro.topologies.hypercube import Hypercube
 
@@ -38,8 +49,8 @@ __all__ = [
     "factor_pair_histogram",
     "convolve_pair_histograms",
     "product_pair_histogram",
-    "product_diameter",
-    "product_average_distance",
+    "dispatch_pair_counts",
+    "pair_distance_counts",
 ]
 
 #: memoization attribute for the convolved product histogram
@@ -70,74 +81,23 @@ def leaf_factors(topology: Topology) -> tuple[Topology, ...] | None:
     return tuple(flattened)
 
 
-def _transitive_pair_histogram(topology: Topology) -> dict[int, int]:
-    """Single-source counts scaled to ordered pairs (vertex transitivity)."""
-    anchor = next(iter(topology.nodes()))
-    total = topology.num_nodes
-    fast = get_fastgraph(topology)
-    if fast is not None:
-        import numpy as np
-
-        dist = fast.distances_array(anchor)
-        if int((dist < 0).sum()):
-            raise DisconnectedError(
-                f"{topology.name} is not connected from {anchor!r}"
-            )
-        counts = {
-            d: int(c) for d, c in enumerate(np.bincount(dist)) if c
-        }
-    else:
-        label_dist = topology.bfs_distances(anchor)
-        if len(label_dist) != total:
-            raise DisconnectedError(
-                f"{topology.name} is not connected from {anchor!r}"
-            )
-        counts = {}
-        for d in label_dist.values():
-            counts[d] = counts.get(d, 0) + 1
-    return {d: c * total for d, c in sorted(counts.items())}
-
-
-def _allpairs_pair_histogram(topology: Topology) -> dict[int, int]:
-    """Full all-ordered-pairs histogram for small irregular factors."""
-    total = topology.num_nodes
-    fast = get_fastgraph(topology, allow_enumeration=True)
-    counts: dict[int, int] | None = None
-    if fast is not None:
-        try:
-            from repro.fastgraph.kernels import distance_histogram
-
-            counts = distance_histogram(fast.csr)
-        except ImportError:
-            counts = None  # no scipy: per-source label BFS below
-    if counts is None:
-        counts = {}
-        for v in topology.nodes():
-            for d in topology.bfs_distances(v).values():
-                counts[d] = counts.get(d, 0) + 1
-    if sum(counts.values()) != total * total:
-        raise DisconnectedError(f"{topology.name} is not connected")
-    return dict(sorted(counts.items()))
-
-
 def factor_pair_histogram(topology: Topology) -> dict[int, int]:
     """Exact ``{distance: ordered-pair count}`` of one (non-product) factor.
 
-    Includes the ``distance == 0`` diagonal (``num_nodes`` pairs).  Three
-    routes, cheapest valid one first:
-
-    * :class:`~repro.topologies.hypercube.Hypercube` — closed form:
-      ``C(m, d) · 2^m`` pairs at distance ``d`` (no BFS at all);
-    * vertex-transitive factors — one BFS, scaled by ``num_nodes``;
-    * anything else — an all-pairs sweep (factors are small by design:
-      the product's scale lives in the *combination*, not the factors).
+    Includes the ``distance == 0`` diagonal (``num_nodes`` pairs).  A
+    :class:`~repro.topologies.hypercube.Hypercube` has the closed form
+    ``C(m, d) · 2^m`` pairs at distance ``d`` (no BFS at all); any other
+    factor goes through :func:`pair_distance_counts` (factors are small
+    by design: the product's scale lives in the *combination*).  Raises
+    :class:`~repro.errors.DisconnectedError` for a disconnected factor.
     """
     if isinstance(topology, Hypercube):
         m = topology.m
         return {d: comb(m, d) << m for d in range(m + 1)}
-    if topology.is_vertex_transitive:
-        return _transitive_pair_histogram(topology)
-    return _allpairs_pair_histogram(topology)
+    counts = pair_distance_counts(topology)
+    if sum(counts.values()) != topology.num_nodes**2:
+        raise DisconnectedError(f"{topology.name} is not connected")
+    return counts
 
 
 def convolve_pair_histograms(
@@ -181,29 +141,80 @@ def product_pair_histogram(topology: Topology) -> dict[int, int] | None:
     return histogram
 
 
-def product_diameter(topology: Topology) -> int | None:
-    """Exact diameter via decomposition (sum of factor diameters), or
-    ``None`` when ``topology`` is not a product."""
-    histogram = product_pair_histogram(topology)
-    if histogram is None:
-        return None
-    return max(histogram)
+def _transitive_counts(topology: Topology, backend: str | None) -> dict[int, int]:
+    """One single-source histogram scaled to ordered pairs."""
+    anchor = next(iter(topology.nodes()))
+    total = topology.num_nodes
+    histogram = topology.source_histogram(anchor, backend=backend)
+    return {d: c * total for d, c in histogram.items()}
 
 
-def product_average_distance(topology: Topology) -> float | None:
-    """Exact mean distance over distinct ordered pairs, or ``None``.
+def _sweep_counts(
+    topology: Topology, jobs: int, backend: str | None
+) -> dict[int, int]:
+    """All-sources sweep over the reachable ordered pairs."""
+    fast = resolve_backend(topology, backend, allow_enumeration=True)
+    if fast is not None:
+        from repro.fastgraph.parallel import parallel_sweep
 
-    Matches the convention of
-    :func:`repro.analysis.metrics.average_distance`: the ``u == v``
-    diagonal is excluded from the denominator (it contributes nothing to
-    the numerator).  Integer sums divided once — bit-identical to the
-    brute-force aggregation it replaces.
+        implicit = fast.select_backend(backend) == "implicit"
+        try:
+            return parallel_sweep(
+                fast.codec if implicit else fast.csr,
+                jobs=jobs,
+                check_connected=False,
+                name=topology.name,
+            ).histogram
+        except ImportError:
+            if backend in ("csr", "implicit"):
+                raise  # pinned engine can't run: don't silently degrade
+            # no scipy for the CSR product: label-BFS sweep below
+    counts: dict[int, int] = {}
+    for v in topology.nodes():
+        for d, c in topology.source_histogram(v, backend="python").items():
+            counts[d] = counts.get(d, 0) + c
+    return dict(sorted(counts.items()))
+
+
+def dispatch_pair_counts(
+    topology: Topology,
+    *,
+    jobs: int = 1,
+    force_generic: bool = False,
+    backend: str | None = None,
+) -> tuple[str, dict[int, int]]:
+    """``(engine, {distance: ordered-pair count})`` — the one engine choice.
+
+    Cheapest valid engine first: ``"decomposition"`` for products,
+    ``"transitive-bfs"`` for vertex-transitive graphs, ``"bfs-sweep"``
+    otherwise (see the module docstring).  ``force_generic=True`` pins the
+    sweep — tests and the metrics CLI use it to cross-check the fast
+    engines against brute force.  ``backend`` pins the BFS substrate and
+    (like ``force_generic``) skips the BFS-free decomposition so the
+    requested engine actually runs; ``jobs`` spreads the sweep over a
+    process pool (bit-identical for any job count).  Counts cover the
+    reachable pairs only — a disconnected graph sums below
+    ``num_nodes ** 2`` instead of raising.
     """
-    histogram = product_pair_histogram(topology)
-    if histogram is None:
-        return None
-    total_pairs = sum(histogram.values())
-    distinct = total_pairs - topology.num_nodes
-    if distinct <= 0:
-        return 0.0
-    return sum(d * c for d, c in histogram.items()) / distinct
+    if not force_generic:
+        if backend in (None, "auto"):
+            decomposed = product_pair_histogram(topology)
+            if decomposed is not None:
+                return "decomposition", decomposed
+        if topology.is_vertex_transitive:
+            return "transitive-bfs", _transitive_counts(topology, backend)
+    return "bfs-sweep", _sweep_counts(topology, jobs, backend)
+
+
+def pair_distance_counts(
+    topology: Topology,
+    *,
+    jobs: int = 1,
+    force_generic: bool = False,
+    backend: str | None = None,
+) -> dict[int, int]:
+    """Exact ``{distance: ordered-pair count}`` (0-diagonal included) —
+    :func:`dispatch_pair_counts` without the engine name."""
+    return dispatch_pair_counts(
+        topology, jobs=jobs, force_generic=force_generic, backend=backend
+    )[1]

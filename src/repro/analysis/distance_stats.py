@@ -1,23 +1,17 @@
 """Distance-profile analytics (experiment E11).
 
 Diameter is a worst-case number; sustained network performance tracks the
-*average* distance and the full distance distribution.  Route selection,
-cheapest first:
-
-* product families (``HB``, ``HD``, generic Cartesian products) get the
-  exact distribution by factor-histogram convolution
-  (:mod:`repro.analysis.decompose`) — no BFS over the product at all;
-* vertex-transitive families get it from one identity-rooted BFS;
-* irregular non-product families aggregate BFS from every node (batched
-  for large instances, optionally over a process pool with ``jobs``).
+*average* distance and the full distance distribution.  A
+:class:`DistanceProfile` is the derived level of the distance pipeline
+(:mod:`repro.analysis.decompose`): it keeps the exact pair counts and the
+engine that produced them, and reads every statistic off the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.decompose import product_pair_histogram
-from repro.fastgraph.backend import get_fastgraph
+from repro.analysis.decompose import dispatch_pair_counts, pair_distance_counts
 from repro.topologies.base import Topology
 
 __all__ = [
@@ -34,107 +28,49 @@ class DistanceProfile:
 
     name: str
     nodes: int
-    histogram: dict[int, float]  # distance -> fraction of ordered pairs
-    mean: float
-    diameter: int
+    counts: dict[int, int]  # distance -> ordered-pair count (incl. 0)
+    engine: str  # "decomposition", "transitive-bfs" or "bfs-sweep"
+
+    @property
+    def histogram(self) -> dict[int, float]:
+        """Distance -> fraction of (reachable) ordered pairs."""
+        total = sum(self.counts.values())
+        return {d: c / total for d, c in self.counts.items()}
+
+    @property
+    def mean(self) -> float:
+        """Mean distance over ordered pairs, the 0-diagonal included."""
+        return sum(d * c for d, c in self.counts.items()) / sum(
+            self.counts.values()
+        )
+
+    @property
+    def average_distance(self) -> float:
+        """Mean distance over *distinct* ordered pairs (the diagonal
+        excluded) — integer sums divided once."""
+        distinct = sum(self.counts.values()) - self.nodes
+        if distinct <= 0:
+            return 0.0
+        return sum(d * c for d, c in self.counts.items()) / distinct
+
+    @property
+    def diameter(self) -> int:
+        """Largest finite distance."""
+        return max(self.counts)
+
+    @property
+    def connected(self) -> bool:
+        """Whether every ordered pair was reachable."""
+        return sum(self.counts.values()) == self.nodes**2
 
     def percentile(self, q: float) -> int:
         """Smallest distance d with cumulative mass >= q (0 < q <= 1)."""
         total = 0.0
-        for d in sorted(self.histogram):
-            total += self.histogram[d]
+        for d, fraction in self.histogram.items():
+            total += fraction
             if total >= q - 1e-12:
                 return d
         return self.diameter
-
-
-def _transitive_profile(
-    topology: Topology, *, backend: str | None = None
-) -> dict[int, int]:
-    """One BFS suffices when the graph is vertex transitive."""
-    anchor = next(iter(topology.nodes()))
-    fast = get_fastgraph(topology) if backend != "python" else None
-    if fast is not None:
-        counts = fast.source_histogram(anchor, backend=backend)
-    else:
-        counts = {}
-        for dist in topology.bfs_distances(anchor, backend=backend).values():
-            counts[dist] = counts.get(dist, 0) + 1
-    # scale single-source counts up to ordered-pair counts
-    return {d: c * topology.num_nodes for d, c in counts.items()}
-
-
-def _generic_profile(
-    topology: Topology, *, jobs: int = 1, backend: str | None = None
-) -> dict[int, int]:
-    fast = (
-        get_fastgraph(topology, allow_enumeration=True)
-        if backend != "python"
-        else None
-    )
-    if fast is not None:
-        resolved = fast.select_backend(backend)
-        try:
-            if resolved == "implicit" or jobs > 1:
-                from repro.fastgraph.parallel import parallel_sweep
-
-                # mirror distance_histogram: count reachable pairs only
-                return parallel_sweep(
-                    fast.codec if resolved == "implicit" else fast.csr,
-                    jobs=jobs,
-                    check_connected=False,
-                    name=topology.name,
-                ).histogram
-            from repro.fastgraph.kernels import distance_histogram
-
-            return distance_histogram(fast.csr)
-        except ImportError:
-            if backend in ("csr", "implicit"):
-                raise  # pinned engine can't run: don't silently degrade
-            pass  # no scipy: per-source label BFS below
-    elif backend in ("csr", "implicit"):
-        from repro.errors import InvalidParameterError
-
-        raise InvalidParameterError(
-            f"fastgraph is unavailable; cannot pin backend={backend!r}"
-        )
-    counts: dict[int, int] = {}
-    for v in topology.nodes():
-        for dist in topology.bfs_distances(v, backend=backend).values():
-            counts[dist] = counts.get(dist, 0) + 1
-    return counts
-
-
-def pair_distance_counts(
-    topology: Topology,
-    *,
-    jobs: int = 1,
-    force_generic: bool = False,
-    backend: str | None = None,
-) -> dict[int, int]:
-    """Exact ``{distance: ordered-pair count}`` (0-diagonal included).
-
-    The single dispatch point for all distance-distribution consumers:
-    product decomposition, then the vertex-transitive single BFS, then
-    the all-sources sweep (process-pooled when ``jobs > 1``).
-    ``force_generic=True`` pins the sweep path — tests and the metrics
-    CLI use it to cross-check the fast paths against brute force.
-    ``backend`` pins the BFS substrate and (like ``force_generic``) skips
-    the BFS-free decomposition so the requested engine actually runs.
-    """
-    pinned = backend not in (None, "auto")
-    if not force_generic:
-        if not pinned:
-            decomposed = product_pair_histogram(topology)
-            if decomposed is not None:
-                return decomposed
-        if topology.is_vertex_transitive:
-            return dict(
-                sorted(_transitive_profile(topology, backend=backend).items())
-            )
-    return dict(
-        sorted(_generic_profile(topology, jobs=jobs, backend=backend).items())
-    )
 
 
 def distance_profile(
@@ -144,19 +80,13 @@ def distance_profile(
     force_generic: bool = False,
     backend: str | None = None,
 ) -> DistanceProfile:
-    """Exact profile; distances include the 0 self-distance mass."""
-    counts = pair_distance_counts(
+    """Exact profile via :func:`~repro.analysis.decompose.dispatch_pair_counts`
+    (same keywords); distances include the 0 self-distance mass."""
+    engine, counts = dispatch_pair_counts(
         topology, jobs=jobs, force_generic=force_generic, backend=backend
     )
-    total = sum(counts.values())
-    histogram = {d: c / total for d, c in sorted(counts.items())}
-    mean = sum(d * c for d, c in counts.items()) / total
     return DistanceProfile(
-        name=topology.name,
-        nodes=topology.num_nodes,
-        histogram=histogram,
-        mean=mean,
-        diameter=max(counts),
+        name=topology.name, nodes=topology.num_nodes, counts=counts, engine=engine
     )
 
 

@@ -1,19 +1,11 @@
-"""Exact graph metrics with scale-aware algorithm selection.
+"""Exact graph metrics, read off the distance pipeline.
 
-Diameter:
-
-* product topologies (hyper-butterfly, hyper-deBruijn, generic Cartesian
-  products) decompose: the diameter is the sum of factor diameters
-  (Remark 6/8), computed by :mod:`repro.analysis.decompose` from factor
-  histograms without touching the product — exact at *any* scale;
-* vertex-transitive topologies (declared via
-  :attr:`repro.topologies.base.Topology.is_vertex_transitive`) need a
-  **single BFS** — the eccentricity of any one vertex is the diameter;
-* irregular non-product topologies use the batched boolean BFS kernel
-  (:func:`repro.fastgraph.kernels.batched_eccentricities`) over all
-  sources — spread over a process pool with ``jobs > 1`` — falling back
-  to networkx's bound-refining iFUB-style ``diameter(usebounds=True)``
-  when numpy/scipy are unavailable.
+:func:`exact_diameter` is the largest key of the pair histogram from
+:func:`repro.analysis.decompose.dispatch_pair_counts` — product
+decomposition (sum of factor diameters, Remark 6/8, exact at any scale),
+one BFS for vertex-transitive graphs, or the all-sources sweep (pooled
+with ``jobs > 1``; a label-BFS sweep without scipy) — and raises
+:class:`~repro.errors.DisconnectedError` whenever the counts miss a pair.
 
 Average distance is **exact at any scale** for product topologies (factor
 histogram convolution); for everything else it is exact below a node
@@ -27,9 +19,9 @@ import random
 from collections import defaultdict
 from typing import Hashable
 
-import networkx as nx
-
-from repro.analysis.decompose import product_average_distance, product_diameter
+from repro.analysis.decompose import leaf_factors
+from repro.analysis.distance_stats import distance_profile
+from repro.errors import DisconnectedError
 from repro.fastgraph.backend import get_fastgraph
 from repro.topologies.base import Topology
 
@@ -43,79 +35,21 @@ def exact_diameter(
     jobs: int = 1,
     backend: str | None = None,
 ) -> int:
-    """The exact diameter, using the cheapest valid algorithm.
+    """The exact diameter, using the cheapest valid engine.
 
-    ``force_generic=True`` bypasses both the product-decomposition and the
-    vertex-transitivity fast paths (used by tests to confirm all paths
-    agree).  ``jobs`` spreads the generic all-sources sweep over a process
-    pool (it has no effect on the decomposition/transitive paths, which
-    are already single-BFS or BFS-free).  ``backend`` pins the BFS
-    substrate (``"csr"``, ``"implicit"``, ``"python"``) — pinning skips
-    the BFS-free decomposition path so the requested engine actually
-    runs; the vertex-transitive single-BFS shortcut stays valid (it runs
-    that engine) unless ``force_generic`` disables it too.
+    Keywords as in :func:`~repro.analysis.decompose.dispatch_pair_counts`:
+    ``force_generic=True`` pins the all-sources sweep (tests use it to
+    confirm every engine agrees), ``jobs`` spreads that sweep over a
+    process pool, and ``backend`` (``"csr"``, ``"implicit"``,
+    ``"python"``) pins the BFS substrate, skipping the BFS-free
+    decomposition so the requested engine actually runs.
     """
-    pinned = backend not in (None, "auto")
-    if not force_generic:
-        if not pinned:
-            decomposed = product_diameter(topology)
-            if decomposed is not None:
-                return decomposed
-        if topology.is_vertex_transitive:
-            anchor = next(iter(topology.nodes()))
-            return topology.eccentricity(anchor, backend=backend)
-    try:
-        return _batched_bfs_diameter(topology, jobs=jobs, backend=backend)
-    except ImportError:
-        graph = topology.to_networkx()
-        return int(nx.diameter(graph, usebounds=True))
-
-
-def _batched_bfs_diameter(
-    topology: Topology,
-    *,
-    batch: int = 128,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> int:
-    """All-eccentricities diameter via the batched boolean BFS kernel.
-
-    Any topology qualifies: registered codecs give a vectorized CSR build,
-    everything else gets an enumeration codec.  ``jobs > 1`` runs the
-    sweep on a process pool (chunked sources, deterministic reduction —
-    the result is bit-identical for any job count); the implicit substrate
-    (resolved or pinned by ``backend``) sweeps CSR-free through the same
-    chunk/reduce path.  Raises ``ImportError`` when numpy/scipy are
-    unavailable so callers can fall back to networkx.
-    """
-    if backend == "python":
-        return max(
-            topology.eccentricity(v, backend="python") for v in topology.nodes()
-        )
-    fast = get_fastgraph(topology, allow_enumeration=True)
-    if fast is None:
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"fastgraph is unavailable; cannot pin backend={backend!r}"
-            )
-        raise ImportError("fast graph backend unavailable")
-    resolved = fast.select_backend(backend)
-    if resolved == "implicit" or jobs > 1:
-        from repro.fastgraph.parallel import parallel_sweep
-
-        payload = fast.codec if resolved == "implicit" else fast.csr
-        result = parallel_sweep(
-            payload, jobs=jobs, batch=batch, name=topology.name
-        )
-        return int(result.eccentricities.max())
-    from repro.fastgraph.kernels import batched_eccentricities
-
-    eccentricities = batched_eccentricities(
-        fast.csr, batch=batch, name=topology.name
+    profile = distance_profile(
+        topology, jobs=jobs, force_generic=force_generic, backend=backend
     )
-    return int(eccentricities.max())
+    if not profile.connected:
+        raise DisconnectedError(f"{topology.name} is disconnected")
+    return profile.diameter
 
 
 def average_distance(
@@ -127,24 +61,18 @@ def average_distance(
 ) -> float:
     """Mean pairwise distance over distinct ordered pairs.
 
-    Product topologies are **exact at any scale** via factor-histogram
-    convolution (bit-identical to brute-force BFS aggregation, at a tiny
-    fraction of the cost).  Non-product topologies are exact below the
-    node budget; beyond it, sampled pairs are drawn first and grouped by
-    source, so a source drawn ``k`` times costs one BFS instead of ``k``.
+    Exact — :attr:`DistanceProfile.average_distance
+    <repro.analysis.distance_stats.DistanceProfile.average_distance>` —
+    for product topologies at any scale and for everything else up to
+    ``exact_node_budget`` nodes.  Beyond the budget, sampled pairs are
+    drawn first and grouped by source, so a source drawn ``k`` times
+    costs one BFS instead of ``k``.
     """
-    decomposed = product_average_distance(topology)
-    if decomposed is not None:
-        return decomposed
-    total_nodes = topology.num_nodes
-    if total_nodes <= exact_node_budget:
-        total = 0
-        count = 0
-        for v in topology.nodes():
-            dist = topology.bfs_distances(v)
-            total += sum(dist.values())
-            count += len(dist) - 1  # exclude self
-        return total / count if count else 0.0
+    if (
+        topology.num_nodes <= exact_node_budget
+        or leaf_factors(topology) is not None
+    ):
+        return distance_profile(topology).average_distance
     rng = random.Random(seed)
     nodes = list(topology.nodes())
     targets_by_source: dict[Hashable, list[Hashable]] = defaultdict(list)

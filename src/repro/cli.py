@@ -438,22 +438,12 @@ def _metrics_topology(args: argparse.Namespace) -> "Topology":
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.decompose import leaf_factors
-    from repro.analysis.distance_stats import pair_distance_counts
+    from repro.analysis.distance_stats import distance_profile
     from repro.errors import ReproError
 
     try:
         topology = _metrics_topology(args)
-        pinned = args.backend != "auto"
-        if args.force_bfs:
-            engine = "bfs-sweep"
-        elif not pinned and leaf_factors(topology) is not None:
-            engine = "decomposition"
-        elif topology.is_vertex_transitive:
-            engine = "transitive-bfs"
-        else:
-            engine = "bfs-sweep"
-        counts = pair_distance_counts(
+        profile = distance_profile(
             topology,
             jobs=args.jobs,
             force_generic=args.force_bfs,
@@ -462,11 +452,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"metrics: error: {exc}", file=sys.stderr)
         return 2
-    total = sum(counts.values())
-    distinct = total - topology.num_nodes
-    average = (
-        sum(d * c for d, c in counts.items()) / distinct if distinct > 0 else 0.0
-    )
+    engine = profile.engine
     payload = {
         "name": topology.name,
         "family": args.family,
@@ -474,9 +460,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         "backend": args.backend,
         "jobs": args.jobs,
         "num_nodes": topology.num_nodes,
-        "diameter": max(counts),
-        "average_distance": average,
-        "distance_histogram": {str(d): c for d, c in counts.items()},
+        "diameter": profile.diameter,
+        "average_distance": profile.average_distance,
+        "distance_histogram": {str(d): c for d, c in profile.counts.items()},
     }
     print(f"{payload['name']}: exact distance metrics ({engine})")
     print(f"  nodes             {payload['num_nodes']}")

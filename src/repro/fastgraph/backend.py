@@ -21,7 +21,9 @@ switches to implicit when the codec supports it and the instance exceeds
 prefer implicit whenever no CSR is built — a probe should never trigger
 an ``O(edges)`` build).  ``backend="csr"``/``"implicit"`` force a
 substrate; forcing ``implicit`` on a codec without vectorized adjacency
-raises :class:`~repro.errors.InvalidParameterError`.
+raises :class:`~repro.errors.InvalidParameterError`.  Library-level
+``backend=`` arguments (which add ``"python"``, the label BFS) are
+resolved in one place, :func:`resolve_backend`.
 
 Set ``REPRO_FASTGRAPH=0`` to disable the backend globally (every consumer
 then exercises its fallback path; the property tests use the same switch
@@ -42,7 +44,13 @@ if TYPE_CHECKING:  # runtime imports stay lazy (numpy optional, cycle-free)
     from repro.fastgraph.csr import CSRAdjacency
     from repro.topologies.base import Topology
 
-__all__ = ["FastGraph", "get_fastgraph", "implicit_threshold"]
+__all__ = [
+    "BACKENDS",
+    "FastGraph",
+    "get_fastgraph",
+    "implicit_threshold",
+    "resolve_backend",
+]
 
 _ATTR = "_fastgraph_backend"
 _ENUM_ATTR = "_fastgraph_backend_enum"
@@ -51,6 +59,9 @@ _ENUM_ATTR = "_fastgraph_backend_enum"
 #: repeat BFS); at or above it, implicit expansion avoids the O(edges) build
 _THRESHOLD_ENV = "REPRO_IMPLICIT_THRESHOLD"
 _DEFAULT_THRESHOLD = 1 << 22
+
+#: every ``backend=`` name the library accepts (``None`` means ``"auto"``)
+BACKENDS = ("auto", "csr", "implicit", "python")
 
 
 def _numpy_ok() -> bool:
@@ -206,84 +217,45 @@ class FastGraph:
         reached = np.nonzero(dist >= 0)[0]
         return {unrank(int(i)): int(dist[i]) for i in reached}
 
-    def eccentricity(
-        self, source: Hashable, *, backend: str | None = None
-    ) -> int:
-        """Max BFS distance without materialising a label dict.
-
-        On the implicit substrate this runs in ``O(num_nodes / 8)`` memory
-        — the per-source exact question that motivates the backend."""
-        if self.select_backend(backend) == "implicit":
-            from repro.fastgraph.implicit import implicit_source_stats
-
-            ecc, _, reached = implicit_source_stats(self.codec, self.rank(source))
-            if reached != self.codec.num_nodes:
-                raise DisconnectedError(
-                    f"{self.topology.name} is not connected from {source!r}"
-                )
-            return ecc
-        dist = self.distances_array(source, backend="csr")
-        if int((dist < 0).sum()):
-            raise DisconnectedError(
-                f"{self.topology.name} is not connected from {source!r}"
-            )
-        return int(dist.max())
-
-    def masked_source_stats(
+    def source_histogram(
         self,
         source: Hashable,
         *,
         blocked: Iterable[Hashable] | None = None,
         backend: str | None = None,
-    ) -> tuple[int, int]:
-        """``(eccentricity, reached)`` of one fault-masked BFS.
+    ) -> dict[int, int]:
+        """``{distance: node count}`` over the survivors reached from
+        ``source`` (0 included), without materialising a label dict.
 
-        The workhorse of structure-fault diameter sweeps: the max distance
-        among *reached survivors* and how many survivors were reached
-        (source included), without materialising a label dict.  Blocked
-        nodes are never counted.  On the implicit substrate this runs in
+        Its ``max`` is the (fault-masked) eccentricity and its ``sum`` the
+        reached count; on the implicit substrate it runs in
         ``O(num_nodes / 8)`` memory, keeping ``HB(9,11)``-class masked
         eccentricities in reach.
         """
         if self.select_backend(backend) == "implicit":
             from repro.fastgraph.implicit import implicit_source_stats
 
-            ecc, _, reached = implicit_source_stats(
-                self.codec,
-                self.rank(source),
-                forbidden=self._blocked_ranks(blocked),
+            _, depth_counts, _ = implicit_source_stats(
+                self.codec, self.rank(source), forbidden=self._blocked_ranks(blocked)
             )
-            return ecc, reached
-        dist = self.distances_array(source, blocked=blocked, backend="csr")
-        return int(dist.max()), int((dist >= 0).sum())
-
-    def reachable_count(
-        self,
-        source: Hashable,
-        *,
-        blocked: Iterable[Hashable] | None = None,
-        backend: str | None = None,
-    ) -> int:
-        """How many non-blocked nodes one masked BFS reaches (source
-        included) — the survivability primitive behind
-        :func:`~repro.faults.connectivity.connected_under_faults`."""
-        return self.masked_source_stats(source, blocked=blocked, backend=backend)[1]
-
-    def source_histogram(
-        self, source: Hashable, *, backend: str | None = None
-    ) -> dict[int, int]:
-        """``{distance: node count}`` from one source (0 included)."""
-        if self.select_backend(backend) == "implicit":
-            from repro.fastgraph.implicit import implicit_source_stats
-
-            _, depth_counts, _ = implicit_source_stats(self.codec, self.rank(source))
             return {0: 1, **depth_counts}
         import numpy as np
 
-        dist = self.distances_array(source, backend="csr")
+        dist = self.distances_array(source, blocked=blocked, backend="csr")
         return {
             d: int(c) for d, c in enumerate(np.bincount(dist[dist >= 0])) if c
         }
+
+    def eccentricity(
+        self, source: Hashable, *, backend: str | None = None
+    ) -> int:
+        """Max BFS distance: the largest key of :meth:`source_histogram`."""
+        histogram = self.source_histogram(source, backend=backend)
+        if sum(histogram.values()) != self.codec.num_nodes:
+            raise DisconnectedError(
+                f"{self.topology.name} is not connected from {source!r}"
+            )
+        return max(histogram)
 
     def shortest_path(
         self,
@@ -349,6 +321,36 @@ class FastGraph:
             for j in indices[indptr[i] : indptr[i + 1]]:
                 if j > i:
                     yield (u, unrank(int(j)))
+
+
+def resolve_backend(
+    topology: Topology,
+    backend: str | None = None,
+    *,
+    allow_enumeration: bool = False,
+) -> FastGraph | None:
+    """The :class:`FastGraph` that answers a ``backend`` request, or
+    ``None`` for the pure-Python label BFS.
+
+    The one place a ``backend`` name is checked: it must be one of
+    :data:`BACKENDS` (or ``None``) whether or not the fast backend is
+    available, ``"python"`` always selects the label BFS, and pinning
+    ``"csr"``/``"implicit"`` without a fast backend raises instead of
+    silently degrading.
+    """
+    if backend is not None and backend not in BACKENDS:
+        raise InvalidParameterError(
+            f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
+        )
+    if backend == "python":
+        return None
+    fast = get_fastgraph(topology, allow_enumeration=allow_enumeration)
+    if fast is None and backend in ("csr", "implicit"):
+        raise InvalidParameterError(
+            f"{topology.name} has no fastgraph codec; backend={backend!r} "
+            "is unavailable (use backend='python')"
+        )
+    return fast
 
 
 def get_fastgraph(

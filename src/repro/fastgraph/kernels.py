@@ -1,21 +1,17 @@
 """Array-backed BFS kernels over :class:`~repro.fastgraph.csr.CSRAdjacency`.
 
-Three kernels cover every BFS the library runs:
+Two kernels cover every CSR BFS the library runs:
 
 * :func:`bfs_levels` — single-source level/parent arrays using frontier
   arrays instead of a dict+deque; supports blocked-node masks and early
   exit at a target.  One numpy pass per BFS level.
-* :func:`batched_eccentricities` — multi-source boolean BFS, ``batch``
-  sources at a time, as sparse-matrix × dense-boolean products (the
-  generalisation of the one-off ``_batched_bfs_diameter`` that used to
-  live in :mod:`repro.analysis.metrics`).
-* :func:`distance_histogram` — the same sweep accumulating per-depth
-  newly-visited counts, i.e. the all-ordered-pairs distance histogram.
-
-Both sweeps share :func:`sweep_chunk`, the one-chunk inner kernel that
-:mod:`repro.fastgraph.parallel` also runs inside pool workers — serial
-and pooled sweeps reduce the same per-chunk results, so they are
-bit-identical for any job count.
+* :func:`sweep_chunk` — multi-source boolean BFS from one chunk of
+  sources as sparse-matrix × dense-boolean products, reducing per-source
+  eccentricities and per-depth newly-visited counts in the same pass.
+  :func:`repro.fastgraph.parallel.parallel_sweep` is its only driver:
+  ``jobs=1`` loops the chunks in-process, ``jobs > 1`` runs the same
+  kernel inside pool workers, so serial and pooled sweeps are
+  bit-identical for any job count.
 
 All distances are ``int32`` with ``-1`` meaning unreached.
 """
@@ -26,15 +22,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import DisconnectedError
 from repro.fastgraph.csr import CSRAdjacency
 
 __all__ = [
     "bfs_levels",
     "path_from_parents",
     "sweep_chunk",
-    "batched_eccentricities",
-    "distance_histogram",
 ]
 
 
@@ -106,9 +99,8 @@ def sweep_chunk(
 ) -> tuple[np.ndarray, dict[int, int], bool]:
     """One batched boolean BFS from the ``chunk`` source ranks.
 
-    The shared inner kernel of every all-sources sweep — serial
-    (:func:`batched_eccentricities`, :func:`distance_histogram`) and
-    process-pooled (:mod:`repro.fastgraph.parallel`) — so the pooled
+    The inner kernel of every CSR all-sources sweep, in-process and
+    pooled alike (:mod:`repro.fastgraph.parallel`), so the pooled
     reduction is bit-identical to the serial loop by construction.
 
     Returns ``(eccentricities, depth_counts, all_visited)``:
@@ -136,48 +128,3 @@ def sweep_chunk(
             depth_counts[depth] = newly
             ecc[frontier.any(axis=0)] = depth
     return ecc, depth_counts, bool(visited.all())
-
-
-def batched_eccentricities(
-    csr: CSRAdjacency,
-    *,
-    sources: np.ndarray | None = None,
-    batch: int = 128,
-    check_connected: bool = True,
-    name: str = "graph",
-) -> np.ndarray:
-    """Eccentricity of each source (default: all) via batched boolean BFS.
-
-    Runs BFS from ``batch`` sources at a time as sparse × dense-boolean
-    products — roughly two orders of magnitude faster than per-source
-    Python BFS at the 16k-node Figure 2 scale, and exact.
-    """
-    adjacency = csr.to_scipy()
-    total = csr.num_nodes
-    if sources is None:
-        sources = np.arange(total, dtype=np.int64)
-    eccentricities = np.empty(len(sources), dtype=np.int64)
-    for start in range(0, len(sources), batch):
-        chunk = sources[start : start + batch]
-        ecc, _, all_visited = sweep_chunk(adjacency, total, chunk)
-        if check_connected and not all_visited:
-            raise DisconnectedError(f"{name} is disconnected")
-        eccentricities[start : start + len(chunk)] = ecc
-    return eccentricities
-
-
-def distance_histogram(csr: CSRAdjacency, *, batch: int = 128) -> dict[int, int]:
-    """``{distance: ordered-pair count}`` over all reachable ordered pairs.
-
-    Includes the ``distance == 0`` diagonal, mirroring the aggregation of
-    per-source BFS dictionaries it replaces.
-    """
-    adjacency = csr.to_scipy()
-    total = csr.num_nodes
-    counts: dict[int, int] = {0: total}
-    for start in range(0, total, batch):
-        chunk = np.arange(start, min(start + batch, total), dtype=np.int64)
-        _, depth_counts, _ = sweep_chunk(adjacency, total, chunk)
-        for depth, newly in depth_counts.items():
-            counts[depth] = counts.get(depth, 0) + newly
-    return dict(sorted(counts.items()))

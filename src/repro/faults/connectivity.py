@@ -111,32 +111,13 @@ def connected_under_faults(
 ) -> bool:
     """Whether the topology minus the faulty nodes remains connected.
 
-    One fault-masked BFS from any survivor, counted — never materialising
-    a distance dict.  With a fastgraph codec the count comes from
-    :meth:`~repro.fastgraph.backend.FastGraph.reachable_count` (CSR or
-    implicit per ``backend``), so survivability queries stay in reach past
-    CSR-comfortable sizes; the pure-python fallback walks labels and is
-    pinned bit-identical to the fast substrates by the backend-equality
-    tests.
+    One fault-masked BFS from any survivor, counted: the ``sum`` of
+    :meth:`~repro.topologies.base.Topology.source_histogram` (CSR,
+    implicit or label BFS per ``backend``), never a distance dict.
     """
     fault_nodes = faults.nodes if isinstance(faults, FaultSet) else frozenset(faults)
     start = next((v for v in topology.nodes() if v not in fault_nodes), None)
     if start is None:
         return True  # the empty graph is vacuously connected
-    survivors = topology.num_nodes - len(fault_nodes)
-    if backend != "python":
-        from repro.fastgraph.backend import get_fastgraph
-
-        fast = get_fastgraph(topology)
-        if fast is not None:
-            reached = fast.reachable_count(
-                start, blocked=fault_nodes, backend=backend
-            )
-            return reached == survivors
-        if backend in ("csr", "implicit"):
-            raise InvalidParameterError(
-                f"{topology.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
-    reached_map = topology.bfs_distances(start, blocked=fault_nodes, backend="python")
-    return len(reached_map) == survivors
+    histogram = topology.source_histogram(start, blocked=fault_nodes, backend=backend)
+    return sum(histogram.values()) == topology.num_nodes - len(fault_nodes)

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import InvalidParameterError
-from repro.fastgraph.backend import get_fastgraph
 from repro.faults.dynamic import FaultEvent, FaultSchedule
 from repro.faults.model import FaultSet, LinkFaultSet, canonical_link, sample_nodes
 from repro.topologies.base import Topology
@@ -427,17 +426,8 @@ def _masked_source_stats(
     backend: str | None,
 ) -> tuple[int, int]:
     """``(eccentricity, reached)`` of one fault-masked BFS, any substrate."""
-    if backend != "python":
-        fast = get_fastgraph(topology)
-        if fast is not None:
-            return fast.masked_source_stats(source, blocked=blocked, backend=backend)
-        if backend in ("csr", "implicit"):
-            raise InvalidParameterError(
-                f"{topology.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
-    dist = topology.bfs_distances(source, blocked=blocked, backend="python")
-    return max(dist.values()), len(dist)
+    histogram = topology.source_histogram(source, blocked=blocked, backend=backend)
+    return max(histogram), sum(histogram.values())
 
 
 def structure_fault_diameter(

@@ -5,7 +5,7 @@ hashable labels and adjacency is computed from the label, never stored.
 This keeps construction ``O(1)`` and lets algorithms work on instances far
 larger than what an explicit adjacency structure would allow, while
 ``to_networkx()`` materialises an explicit graph when exact global analysis
-(iFUB diameter, bisection, isomorphism checks) is needed.
+(bisection, isomorphism checks) is needed.
 """
 
 from __future__ import annotations
@@ -24,16 +24,19 @@ if TYPE_CHECKING:
 __all__ = ["Topology"]
 
 
-def _fastgraph(topology: "Topology") -> "FastGraph | None":
-    """Fast-backend view of ``topology``, or ``None`` without a codec.
+def _fastgraph(
+    topology: "Topology", backend: str | None = None
+) -> "FastGraph | None":
+    """Fast-backend view of ``topology`` for ``backend``, or ``None`` for
+    the label BFS (see :func:`repro.fastgraph.backend.resolve_backend`).
 
     Deferred import: topologies sit *below* fastgraph in the layer DAG —
     the acceleration layer knows about topologies, never the reverse
     (reprolint HB401); binding it here at import time would also cycle.
     """
-    from repro.fastgraph.backend import get_fastgraph
+    from repro.fastgraph.backend import resolve_backend
 
-    return get_fastgraph(topology)
+    return resolve_backend(topology, backend)
 
 
 class Topology(ABC):
@@ -166,18 +169,9 @@ class Topology(ABC):
         blocked = blocked or frozenset()
         if source in blocked:
             raise InvalidLabelError("source node is blocked")
-        if backend == "python":
-            return self._bfs_distances_python(source, blocked)
-        fast = _fastgraph(self)
+        fast = _fastgraph(self, backend)
         if fast is not None:
             return fast.bfs_distances(source, blocked, backend=backend)
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
-
-            raise InvalidParameterError(
-                f"{self.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
         return self._bfs_distances_python(source, blocked)
 
     def _bfs_distances_python(
@@ -237,29 +231,41 @@ class Topology(ABC):
                 queue.append(w)
         return None
 
-    def eccentricity(self, v: Hashable, *, backend: str | None = None) -> int:
-        """Eccentricity of ``v`` (max BFS distance; graph must be connected).
+    def source_histogram(
+        self,
+        source: Hashable,
+        *,
+        blocked: frozenset | set | None = None,
+        backend: str | None = None,
+    ) -> dict[int, int]:
+        """``{distance: node count}`` over the survivors reached from
+        ``source`` (0 included), skipping ``blocked`` nodes.
 
+        The single-source level of the distance pipeline: its ``max`` is
+        the (fault-masked) eccentricity, its ``sum`` the reached count.
         ``backend`` as in :meth:`bfs_distances`; the implicit substrate
-        answers this per-source exact question in ``O(num_nodes / 8)``
-        memory, which is what makes it available past CSR scale.
+        answers in ``O(num_nodes / 8)`` memory, past CSR scale.
         """
-        self.validate_node(v)
-        fast = _fastgraph(self) if backend != "python" else None
+        self.validate_node(source)
+        blocked = blocked or frozenset()
+        if source in blocked:
+            raise InvalidLabelError("source node is blocked")
+        fast = _fastgraph(self, backend)
         if fast is not None:
-            # array max — skips materialising a num_nodes-sized label dict
-            return fast.eccentricity(v, backend=backend)
-        if backend in ("csr", "implicit"):
-            from repro.errors import InvalidParameterError
+            return fast.source_histogram(source, blocked=blocked, backend=backend)
+        counts: dict[int, int] = {}
+        # label BFS discovers nodes level by level: keys arrive sorted
+        for d in self._bfs_distances_python(source, blocked).values():
+            counts[d] = counts.get(d, 0) + 1
+        return counts
 
-            raise InvalidParameterError(
-                f"{self.name} has no fastgraph codec; backend={backend!r} "
-                "is unavailable (use backend='python')"
-            )
-        dist = self._bfs_distances_python(v, frozenset())
-        if len(dist) != self.num_nodes:
+    def eccentricity(self, v: Hashable, *, backend: str | None = None) -> int:
+        """Eccentricity of ``v`` — the largest key of
+        :meth:`source_histogram`; the graph must be connected."""
+        histogram = self.source_histogram(v, backend=backend)
+        if sum(histogram.values()) != self.num_nodes:
             raise DisconnectedError(f"{self.name} is not connected from {v!r}")
-        return max(dist.values())
+        return max(histogram)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}: {self.num_nodes} nodes>"

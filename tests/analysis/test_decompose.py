@@ -14,11 +14,9 @@ from repro.analysis.decompose import (
     convolve_pair_histograms,
     factor_pair_histogram,
     leaf_factors,
-    product_average_distance,
-    product_diameter,
     product_pair_histogram,
 )
-from repro.analysis.distance_stats import pair_distance_counts
+from repro.analysis.distance_stats import distance_profile, pair_distance_counts
 from repro.analysis.metrics import average_distance, exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.topologies.cycle import Cycle
@@ -74,8 +72,8 @@ class TestLeafFactors:
     def test_non_product_is_none(self):
         assert leaf_factors(Hypercube(3)) is None
         assert product_pair_histogram(DeBruijn(2)) is None
-        assert product_diameter(Cycle(5)) is None
-        assert product_average_distance(Cycle(5)) is None
+        assert product_pair_histogram(Cycle(5)) is None
+        assert distance_profile(Cycle(5)).engine != "decomposition"
 
     def test_nested_products_flatten(self):
         nested = CartesianProduct(
@@ -111,14 +109,16 @@ class TestBitIdenticalGrid:
     )
     def test_derived_metrics_bit_identical(self, topology):
         counts = _brute_force_counts(topology)
-        assert product_diameter(topology) == max(counts)
+        assert max(product_pair_histogram(topology)) == max(counts)
         total = sum(counts.values())
         distinct = total - topology.num_nodes
         brute_average = (
             sum(d * c for d, c in counts.items()) / distinct
         )
+        profile = distance_profile(topology)
+        assert profile.engine == "decomposition"
         # == not approx: same integer sums, same single division
-        assert product_average_distance(topology) == brute_average
+        assert profile.average_distance == brute_average
 
     @pytest.mark.parametrize(
         "topology", PRODUCT_GRID[:5], ids=lambda t: t.name

@@ -20,12 +20,13 @@ class TestProfiles:
         assert p.diameter == 4
 
     def test_transitive_and_generic_paths_agree(self, hb13):
-        from repro.analysis.distance_stats import (
-            _generic_profile,
-            _transitive_profile,
+        transitive = distance_profile(hb13, backend="csr")
+        generic = distance_profile(hb13, force_generic=True)
+        assert (transitive.engine, generic.engine) == (
+            "transitive-bfs",
+            "bfs-sweep",
         )
-
-        assert _transitive_profile(hb13) == _generic_profile(hb13)
+        assert transitive.counts == generic.counts
 
     def test_histogram_sums_to_one(self, hb23):
         p = distance_profile(hb23)

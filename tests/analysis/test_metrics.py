@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+
 import networkx as nx
 import pytest
 
+from repro.analysis.distance_stats import pair_distance_counts
 from repro.analysis.metrics import average_distance, degree_profile, exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
+from repro.errors import DisconnectedError
+from repro.fastgraph.backend import get_fastgraph
+from repro.topologies.base import Topology
 from repro.topologies.butterfly_cayley import CayleyButterfly
+from repro.topologies.debruijn import DeBruijn
 from repro.topologies.hypercube import Hypercube
 from repro.topologies.hyperdebruijn import HyperDeBruijn
+from repro.topologies.mesh import Mesh
 
 
 class TestExactDiameter:
@@ -30,6 +38,54 @@ class TestExactDiameter:
 
     def test_hb_diameter_formula(self, hb24):
         assert exact_diameter(hb24) == hb24.diameter_formula()
+
+
+class _TwoIslands(Topology):
+    name = "islands"
+    num_nodes = 2
+
+    def nodes(self):
+        return iter([0, 1])
+
+    def neighbors(self, v):
+        self.validate_node(v)
+        return []
+
+    def has_node(self, v):
+        return v in (0, 1)
+
+
+class TestWithoutScipy:
+    """The label-BFS sweep is the one fallback when scipy is missing."""
+
+    FACTORIES = [lambda: DeBruijn(5), lambda: Mesh(4, 3), lambda: HyperButterfly(1, 3)]
+
+    @staticmethod
+    def _numbers(topology):
+        return (
+            exact_diameter(topology, force_generic=True),
+            pair_distance_counts(topology, force_generic=True),
+            average_distance(topology),
+        )
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=["D_5", "Mesh(4,3)", "HB(1,3)"])
+    def test_numbers_equal_the_scipy_backed_ones(self, factory, monkeypatch):
+        expected = self._numbers(factory())
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        topology = factory()  # fresh instance: nothing memoized
+        with pytest.raises(ImportError):
+            get_fastgraph(topology, allow_enumeration=True).csr.to_scipy()
+        assert self._numbers(topology) == expected
+
+    def test_disconnected_raises_disconnected_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        islands = _TwoIslands()
+        for force_generic in (False, True):
+            with pytest.raises(DisconnectedError):
+                exact_diameter(islands, force_generic=force_generic)
+        with pytest.raises(DisconnectedError):
+            islands.eccentricity(0)
+        assert pair_distance_counts(islands) == {0: 2}
 
 
 class TestAverageDistance:

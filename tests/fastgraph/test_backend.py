@@ -17,7 +17,7 @@ from repro.cayley.graph import DistanceOracle
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.fastgraph import get_fastgraph
 from repro.fastgraph.backend import FastGraph
-from repro.fastgraph.kernels import batched_eccentricities, distance_histogram
+from repro.fastgraph.parallel import parallel_sweep
 from repro.topologies.butterfly import WrappedButterfly
 from repro.topologies.butterfly_cayley import CayleyButterfly
 from repro.topologies.cycle import Cycle
@@ -102,7 +102,7 @@ class TestFastMatchesPython:
 
     def test_batched_eccentricities_match_per_source(self, topology):
         fg = get_fastgraph(topology)
-        ecc = batched_eccentricities(fg.csr, batch=32, name=topology.name)
+        ecc = parallel_sweep(fg.csr, batch=32, name=topology.name).eccentricities
         for idx in range(0, topology.num_nodes, max(1, topology.num_nodes // 5)):
             source = fg.unrank(idx)
             expected = max(topology._bfs_distances_python(source, frozenset()).values())
@@ -120,7 +120,8 @@ class TestFastMatchesPython:
         for v in topology.nodes():
             for d in topology._bfs_distances_python(v, frozenset()).values():
                 counts[d] = counts.get(d, 0) + 1
-        assert distance_histogram(fg.csr) == dict(sorted(counts.items()))
+        sweep = parallel_sweep(fg.csr, check_connected=False)
+        assert sweep.histogram == dict(sorted(counts.items()))
 
 
 class TestBlockedSemantics:

@@ -136,6 +136,15 @@ class TestImplicitMatchesCSR:
                 fast.codec, source, forbidden=forbidden, slice_nodes=TINY_SLICE
             )
             assert np.array_equal(dist, ref_dist)
+            blocked = {fast.unrank(r) for r in faulty}
+            histograms = [
+                topology.source_histogram(
+                    fast.unrank(source), blocked=blocked, backend=backend
+                )
+                for backend in ("python", "csr", "implicit")
+            ]
+            assert histograms[0] == histograms[1] == histograms[2]
+            assert sum(histograms[0].values()) == int((ref_dist >= 0).sum())
 
     def test_target_early_exit_identical(self, topology):
         fast = _fast(topology)

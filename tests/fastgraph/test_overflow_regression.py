@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fastgraph.csr import CSRAdjacency
-from repro.fastgraph.kernels import batched_eccentricities, sweep_chunk
+from repro.fastgraph.kernels import sweep_chunk
+from repro.fastgraph.parallel import parallel_sweep
 
 
 def _star_bridge_csr(leaves: int = 256) -> CSRAdjacency:
@@ -46,6 +47,6 @@ class TestFrontierAccumulatorWidth:
 
     def test_batched_eccentricities_on_wrap_prone_graph(self):
         csr = _star_bridge_csr(256)
-        ecc = batched_eccentricities(csr, name="star-bridge")
+        sweep = parallel_sweep(csr, name="star-bridge")
         # every node reaches every other within 2 hops
-        assert (ecc == 2).all()
+        assert (sweep.eccentricities == 2).all()

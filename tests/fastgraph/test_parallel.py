@@ -15,7 +15,7 @@ from repro.analysis.metrics import exact_diameter
 from repro.core.hyperbutterfly import HyperButterfly
 from repro.errors import DisconnectedError, InvalidParameterError
 from repro.fastgraph.backend import get_fastgraph
-from repro.fastgraph.kernels import batched_eccentricities, distance_histogram
+from repro.fastgraph.kernels import sweep_chunk
 from repro.fastgraph.parallel import (
     START_METHOD_ENV,
     SweepResult,
@@ -46,10 +46,10 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def serial(self, csr):
-        return (
-            batched_eccentricities(csr, name="HB(2,3)"),
-            distance_histogram(csr),
-        )
+        """The kernel run once over every source as a single chunk."""
+        sources = np.arange(csr.num_nodes, dtype=np.int64)
+        ecc, depth_counts, _ = sweep_chunk(csr.to_scipy(), csr.num_nodes, sources)
+        return ecc, {0: csr.num_nodes, **depth_counts}
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_matches_serial_kernels_for_any_job_count(

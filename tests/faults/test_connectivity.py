@@ -151,7 +151,16 @@ class TestConnectedUnderFaults:
         assert not verdicts[-1]
 
     def test_unknown_backend_rejected(self, hb13):
+        """Rejected whether or not the fast backend is enabled."""
+        from repro.analysis.distance_stats import pair_distance_counts
         from repro.errors import InvalidParameterError
 
-        with pytest.raises(InvalidParameterError):
-            connected_under_faults(hb13, FaultSet(hb13), backend="quantum")
+        source = hb13.identity_node()
+        for call in (
+            lambda: connected_under_faults(hb13, FaultSet(hb13), backend="quantum"),
+            lambda: hb13.bfs_distances(source, backend="quantum"),
+            lambda: hb13.eccentricity(source, backend="quantum"),
+            lambda: pair_distance_counts(hb13, backend="quantum"),
+        ):
+            with pytest.raises(InvalidParameterError):
+                call()

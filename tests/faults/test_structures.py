@@ -205,6 +205,14 @@ class TestStructureFaultDiameter:
         assert len({r.diameter for r in results.values()}) == 1
         assert len({r.connected for r in results.values()}) == 1
         assert len({r.survivors for r in results.values()}) == 1
+        blocked = s.node_set
+        survivors = [v for v in topology.nodes() if v not in blocked][:4]
+        for source in survivors:
+            histograms = [
+                topology.source_histogram(source, blocked=blocked, backend=backend)
+                for backend in ("python", "csr", "implicit")
+            ]
+            assert histograms[0] == histograms[1] == histograms[2]
 
     def test_sampled_mode_is_a_lower_bound(self, hb23):
         s = star_structure(hb23, _center(hb23), radius=1)
